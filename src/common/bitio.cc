@@ -1,32 +1,29 @@
 #include "common/bitio.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace xksearch {
 
 void BitWriter::WriteBits(uint32_t value, int width) {
   assert(width >= 0 && width <= 32);
-  if (width == 0) return;
   if (width < 32) {
     assert((value >> width) == 0 && "value does not fit in width");
   }
-  for (int i = width - 1; i >= 0; --i) {
-    const size_t byte = bit_count_ / 8;
-    const int bit_in_byte = static_cast<int>(bit_count_ % 8);
-    if (byte >= buf_.size()) buf_.push_back(0);
-    const uint32_t bit = (value >> i) & 1u;
-    buf_[byte] |= static_cast<uint8_t>(bit << (7 - bit_in_byte));
-    ++bit_count_;
+  // Fill the partial last byte, then whole bytes, high bits first.
+  while (width > 0) {
+    const int used = static_cast<int>(bit_count_ % 8);
+    if (used == 0) out_->push_back(0);
+    const int take = std::min(8 - used, width);
+    const uint32_t bits = (value >> (width - take)) & ((1u << take) - 1);
+    out_->back() |= static_cast<uint8_t>(bits << (8 - used - take));
+    width -= take;
+    bit_count_ += static_cast<size_t>(take);
   }
 }
 
 void BitWriter::AlignToByte() {
   bit_count_ = (bit_count_ + 7) / 8 * 8;
-}
-
-std::vector<uint8_t> BitWriter::Finish() {
-  AlignToByte();
-  return std::move(buf_);
 }
 
 uint32_t BitReader::ReadBits(int width) {

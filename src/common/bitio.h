@@ -7,14 +7,19 @@
 
 namespace xksearch {
 
-/// \brief Appends bit fields of arbitrary width (1..32) to a byte buffer,
-/// most-significant bit first within each field.
+/// \brief Appends bit fields of arbitrary width (1..32) to a caller-owned
+/// byte buffer, most-significant bit first within each field.
 ///
 /// Used by the Dewey level-table codec (paper Section 4): each component of
-/// a Dewey number is stored with exactly `levelTable[level]` bits.
+/// a Dewey number is stored with exactly `levelTable[level]` bits. Writing
+/// into the caller's buffer lets lm/rm probes encode their key into a
+/// reused buffer with no allocation.
 class BitWriter {
  public:
-  BitWriter() = default;
+  /// Appends after `out`'s existing bytes; `out` must outlive the writer
+  /// and receive no other appends while it is in use. The last byte is
+  /// zero-padded, so `out` is complete after every write.
+  explicit BitWriter(std::vector<uint8_t>* out) : out_(out) {}
 
   /// Appends the low `width` bits of `value`. `width` must be in [0, 32];
   /// width 0 writes nothing (a level whose nodes have at most one child
@@ -27,14 +32,8 @@ class BitWriter {
   /// Number of bits written so far.
   size_t bit_count() const { return bit_count_; }
 
-  /// Finishes (pads to a byte boundary) and returns the buffer.
-  std::vector<uint8_t> Finish();
-
-  /// Read-only view of the bytes written so far (last byte may be partial).
-  const std::vector<uint8_t>& bytes() const { return buf_; }
-
  private:
-  std::vector<uint8_t> buf_;
+  std::vector<uint8_t>* out_;
   size_t bit_count_ = 0;
 };
 

@@ -81,7 +81,7 @@ std::vector<uint8_t> DeweyCodec::Encode(const DeweyId& id) const {
 
 void DeweyCodec::EncodeTo(const DeweyId& id, std::vector<uint8_t>* out) const {
   assert(!id.empty() && "cannot encode the empty super-root id");
-  BitWriter writer;
+  BitWriter writer(out);
   for (size_t l = 0; l < id.depth(); ++l) {
     const int width = table_.BitsAt(l);
     // Saturate components that exceed the level width. Stored document
@@ -94,8 +94,6 @@ void DeweyCodec::EncodeTo(const DeweyId& id, std::vector<uint8_t>* out) const {
     writer.WriteBits(std::min(id.component(l), cap), width);
     writer.WriteBits(l + 1 < id.depth() ? 1 : 0, 1);
   }
-  std::vector<uint8_t> bytes = writer.Finish();
-  out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
 bool DeweyCodec::CanEncode(const DeweyId& id) const {

@@ -169,12 +169,17 @@ Result<std::unique_ptr<KeywordList>> VectorKeywordList::CloneWithStats(
   return std::unique_ptr<KeywordList>(new VectorKeywordList(ids_, stats));
 }
 
+DiskIndex::IlFinger* DiskKeywordList::finger() {
+  if (finger_ == nullptr) finger_ = std::make_unique<DiskIndex::IlFinger>();
+  return finger_.get();
+}
+
 Result<bool> DiskKeywordList::LeftMatch(const DeweyId& v, DeweyId* out) {
-  return index_->LeftMatch(term_, v, out, stats_);
+  return index_->LeftMatch(term_, v, out, stats_, finger());
 }
 
 Result<bool> DiskKeywordList::RightMatch(const DeweyId& v, DeweyId* out) {
-  return index_->RightMatch(term_, v, out, stats_);
+  return index_->RightMatch(term_, v, out, stats_, finger());
 }
 
 Result<std::unique_ptr<KeywordListIterator>> DiskKeywordList::NewIterator() {

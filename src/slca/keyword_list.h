@@ -217,6 +217,11 @@ class VectorKeywordList : public KeywordList {
 
 /// \brief Disk-backed list: lm/rm probe the Indexed Lookup B+tree,
 /// iteration streams the Scan-layout posting blocks.
+///
+/// The list owns one leaf finger (DiskIndex::IlFinger), created on its
+/// first probe: the eager algorithms probe each list in document order,
+/// so most probes are answered from the last leaf's copy. CloneWithStats
+/// starts a fresh finger, so chunk workers share no probe state.
 class DiskKeywordList : public KeywordList {
  public:
   DiskKeywordList(const DiskIndex* index, uint32_t term, uint64_t frequency,
@@ -242,10 +247,13 @@ class DiskKeywordList : public KeywordList {
       QueryStats* stats) override;
 
  private:
+  DiskIndex::IlFinger* finger();
+
   const DiskIndex* index_;
   uint32_t term_;
   uint64_t frequency_;
   QueryStats* stats_;
+  std::unique_ptr<DiskIndex::IlFinger> finger_;
 };
 
 /// \brief An always-empty list, used for keywords absent from the index

@@ -143,6 +143,13 @@ class BPlusTree {
     std::string_view key() const { return key_; }
     std::string_view value() const { return value_; }
 
+    /// The leaf the cursor is positioned on, while Valid(): its page id
+    /// and its pinned bytes. A caller that keeps probing near the same
+    /// keys copies the page out before dropping the cursor, so no pin
+    /// outlives the probe.
+    PageId leaf_id() const { return leaf_; }
+    const Page& leaf_page() const { return leaf_ref_.page(); }
+
    private:
     friend class BPlusTree;
     Status LoadLeaf(PageId leaf);

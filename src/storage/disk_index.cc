@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/bitio.h"
+#include "storage/node_format.h"
 
 namespace xksearch {
 
@@ -66,9 +67,37 @@ void AppendBigEndian32(uint32_t v, std::string* out) {
 
 bool HasTermPrefix(std::string_view key, uint32_t term) {
   if (key.size() < 4) return false;
-  std::string prefix;
-  AppendBigEndian32(term, &prefix);
-  return key.substr(0, 4) == prefix;
+  const auto* p = reinterpret_cast<const uint8_t*>(key.data());
+  return (uint32_t{p[0]} << 24 | uint32_t{p[1]} << 16 | uint32_t{p[2]} << 8 |
+          uint32_t{p[3]}) == term;
+}
+
+// Largest slot count whose slot array still fits a page: a leaf claiming
+// more is malformed, and reading its slots would run off the page.
+constexpr size_t kMaxLeafSlots =
+    (kPageSize - node_format::kNodeHeader) / 2;
+
+// First slot of `leaf` whose key is > `key` (`after`) or >= `key`. Every
+// visited slot is read through NodeView::Entry, so a malformed one is
+// reported as Corruption rather than compared as an empty key.
+Result<size_t> LeafBound(const node_format::NodeView& leaf, size_t count,
+                         std::string_view key, bool after) {
+  size_t lo = 0;
+  size_t hi = count;
+  while (lo < hi) {
+    const size_t mid = (lo + hi) / 2;
+    std::string_view slot_key, value;
+    if (!leaf.Entry(mid, &slot_key, &value)) {
+      return Status::Corruption("malformed IL leaf entry");
+    }
+    const int c = CompareBytes(slot_key, key);
+    if (after ? c <= 0 : c < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 std::vector<uint8_t> EncodeIndexMeta(const LevelTable& table,
@@ -123,10 +152,17 @@ Result<IndexMeta> DecodeIndexMeta(const std::vector<uint8_t>& blob) {
 
 void DiskIndex::EncodeIlKey(const DeweyCodec& codec, uint32_t term,
                             const DeweyId& id, std::string* out) {
-  out->clear();
-  AppendBigEndian32(term, out);
-  std::vector<uint8_t> enc = codec.Encode(id);
-  out->append(reinterpret_cast<const char*>(enc.data()), enc.size());
+  std::vector<uint8_t> key;
+  EncodeIlKey(codec, term, id, &key);
+  out->assign(key.begin(), key.end());
+}
+
+void DiskIndex::EncodeIlKey(const DeweyCodec& codec, uint32_t term,
+                            const DeweyId& id, std::vector<uint8_t>* out) {
+  out->assign({static_cast<uint8_t>(term >> 24),
+               static_cast<uint8_t>(term >> 16),
+               static_cast<uint8_t>(term >> 8), static_cast<uint8_t>(term)});
+  codec.EncodeTo(id, out);
 }
 
 Result<std::unique_ptr<DiskIndex>> DiskIndex::Build(
@@ -325,31 +361,67 @@ const DiskIndex::TermInfo* DiskIndex::FindTerm(std::string_view keyword) const {
 }
 
 Result<bool> DiskIndex::RightMatch(uint32_t term, const DeweyId& v,
-                                   DeweyId* out, QueryStats* stats) const {
-  std::string key;
-  EncodeIlKey(*codec_, term, v, &key);
-  BPlusTree::Cursor cursor = il_tree_->NewCursor();
-  cursor.set_stats(stats);
-  XKS_RETURN_NOT_OK(cursor.Seek(key));
-  if (!cursor.Valid() || !HasTermPrefix(cursor.key(), term)) return false;
-  if (stats != nullptr) ++stats->postings_read;
-  const std::string_view rest = cursor.key().substr(4);
-  XKS_ASSIGN_OR_RETURN(
-      *out, codec_->Decode(reinterpret_cast<const uint8_t*>(rest.data()),
-                           rest.size()));
-  return true;
+                                   DeweyId* out, QueryStats* stats,
+                                   IlFinger* finger) const {
+  return MatchProbe(term, v, /*left=*/false, out, stats, finger);
 }
 
 Result<bool> DiskIndex::LeftMatch(uint32_t term, const DeweyId& v,
-                                  DeweyId* out, QueryStats* stats) const {
-  std::string key;
-  EncodeIlKey(*codec_, term, v, &key);
+                                  DeweyId* out, QueryStats* stats,
+                                  IlFinger* finger) const {
+  return MatchProbe(term, v, /*left=*/true, out, stats, finger);
+}
+
+Result<bool> DiskIndex::MatchProbe(uint32_t term, const DeweyId& v,
+                                   bool left, DeweyId* out, QueryStats* stats,
+                                   IlFinger* finger) const {
+  EncodeIlKey(*codec_, term, v, &finger->key_);
+  const std::string_view key(
+      reinterpret_cast<const char*>(finger->key_.data()),
+      finger->key_.size());
+
+  // From the copy: rm's slot is the first key >= v, lm's the last <= v
+  // (one before the first key > v). Either is the global answer when
+  // the copy holds an entry on each side of v: 0 < bound < count.
+  std::string_view found;
+  bool answered = false;
+  if (!finger->empty()) {
+    const node_format::NodeView leaf(finger->leaf_);
+    XKS_ASSIGN_OR_RETURN(size_t bound,
+                         LeafBound(leaf, finger->count_, key, left));
+    if (bound > 0 && bound < finger->count_) {
+      std::string_view value;
+      if (!leaf.Entry(left ? bound - 1 : bound, &found, &value)) {
+        return Status::Corruption("malformed IL leaf entry");
+      }
+      answered = true;
+    }
+  }
+
+  // Otherwise descend from the root. The finger is empty until the
+  // descent succeeds, then holds the leaf the cursor ended on; the copy
+  // is skipped when it already holds that page. The cursor outlives this
+  // block because `found` points into its pinned leaf.
   BPlusTree::Cursor cursor = il_tree_->NewCursor();
-  cursor.set_stats(stats);
-  XKS_RETURN_NOT_OK(cursor.SeekForPrev(key));
-  if (!cursor.Valid() || !HasTermPrefix(cursor.key(), term)) return false;
+  if (!answered) {
+    const PageId held = finger->leaf_id_;
+    finger->leaf_id_ = kInvalidPage;
+    cursor.set_stats(stats);
+    XKS_RETURN_NOT_OK(left ? cursor.SeekForPrev(key) : cursor.Seek(key));
+    if (!cursor.Valid()) return false;
+    const node_format::NodeView leaf(cursor.leaf_page());
+    if (!leaf.IsLeaf() || leaf.count() > kMaxLeafSlots) {
+      return Status::Corruption("malformed IL leaf header");
+    }
+    if (cursor.leaf_id() != held) finger->leaf_ = cursor.leaf_page();
+    finger->leaf_id_ = cursor.leaf_id();
+    finger->count_ = leaf.count();
+    found = cursor.key();
+  }
+
+  if (!HasTermPrefix(found, term)) return false;
   if (stats != nullptr) ++stats->postings_read;
-  const std::string_view rest = cursor.key().substr(4);
+  const std::string_view rest = found.substr(4);
   XKS_ASSIGN_OR_RETURN(
       *out, codec_->Decode(reinterpret_cast<const uint8_t*>(rest.data()),
                            rest.size()));

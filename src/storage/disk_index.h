@@ -85,8 +85,10 @@ struct DiskIndexOptions {
 /// threads concurrently: the trees and dictionary are immutable after
 /// open and the buffer pools are sharded and thread-safe. Each call
 /// charges its page accesses to the per-query stats object it is given,
-/// so accounting never crosses queries. DropCaches/WarmCaches are safe
-/// too, though DropCaches fails while any query holds a pinned page.
+/// so accounting never crosses queries. The one per-caller state is the
+/// IlFinger a probing list passes to LeftMatch/RightMatch: each thread
+/// uses its own. DropCaches/WarmCaches are safe too, though DropCaches
+/// fails while any query holds a pinned page (a finger holds none).
 class DiskIndex {
  public:
   struct TermInfo {
@@ -111,14 +113,55 @@ class DiskIndex {
   /// Dictionary lookup; nullptr if the keyword does not occur.
   const TermInfo* FindTerm(std::string_view keyword) const;
 
+  /// \brief Leaf finger: the probe state one keyword list keeps between
+  /// its lm/rm calls (DESIGN.md "Disk lm/rm leaf finger").
+  ///
+  /// Holds a private copy of the last Indexed Lookup leaf a probe landed
+  /// on, plus a reusable probe-key buffer. A probe with an entry on each
+  /// side of its key inside the copy is answered from the copy alone —
+  /// a leaf is a contiguous run of the global key order, so those two
+  /// entries pin the global neighbour — without touching the buffer
+  /// pool. Any other probe descends from the root and re-captures. The
+  /// copy means no page stays pinned between calls.
+  ///
+  /// A finger belongs to one probing thread; chunked execution gives
+  /// every chunk its own.
+  class IlFinger {
+   public:
+    /// True until a probe captures a leaf, and again after a descent
+    /// fails or runs off either end of the tree.
+    bool empty() const { return leaf_id_ == kInvalidPage; }
+
+   private:
+    friend class DiskIndex;
+    Page leaf_;
+    PageId leaf_id_ = kInvalidPage;
+    size_t count_ = 0;
+    std::vector<uint8_t> key_;
+  };
+
   /// Right match rm(v, S): smallest id in the term's list that is >= v.
   /// Returns false (and leaves `out` untouched) when there is none.
+  /// Answered from `finger` when its leaf copy decides the probe,
+  /// otherwise by a root-to-leaf descent that re-captures `finger`.
   Result<bool> RightMatch(uint32_t term, const DeweyId& v, DeweyId* out,
-                          QueryStats* stats = nullptr) const;
+                          QueryStats* stats, IlFinger* finger) const;
 
   /// Left match lm(v, S): greatest id in the term's list that is <= v.
   Result<bool> LeftMatch(uint32_t term, const DeweyId& v, DeweyId* out,
-                         QueryStats* stats = nullptr) const;
+                         QueryStats* stats, IlFinger* finger) const;
+
+  /// One-shot probes: the calls above with a fresh finger.
+  Result<bool> RightMatch(uint32_t term, const DeweyId& v, DeweyId* out,
+                          QueryStats* stats = nullptr) const {
+    IlFinger finger;
+    return RightMatch(term, v, out, stats, &finger);
+  }
+  Result<bool> LeftMatch(uint32_t term, const DeweyId& v, DeweyId* out,
+                         QueryStats* stats = nullptr) const {
+    IlFinger finger;
+    return LeftMatch(term, v, out, stats, &finger);
+  }
 
   /// \brief Sequential reader over one keyword list in the scan layout.
   ///
@@ -236,6 +279,13 @@ class DiskIndex {
 
   static void EncodeIlKey(const DeweyCodec& codec, uint32_t term,
                           const DeweyId& id, std::string* out);
+  /// Replaces `out` with the same composite key, reusing its capacity.
+  static void EncodeIlKey(const DeweyCodec& codec, uint32_t term,
+                          const DeweyId& id, std::vector<uint8_t>* out);
+  /// The shared body of LeftMatch (`left`) and RightMatch.
+  Result<bool> MatchProbe(uint32_t term, const DeweyId& v, bool left,
+                          DeweyId* out, QueryStats* stats,
+                          IlFinger* finger) const;
   Status InitTreesAndDict(const DiskIndexOptions& options);
 
   std::unique_ptr<PageStore> il_store_;
