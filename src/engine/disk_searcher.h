@@ -25,11 +25,10 @@ class DiskSearcher {
   /// Opens the index files at `path_prefix`. Query keywords are
   /// normalized with the tokenizer options persisted in the index
   /// metadata, so they match however the index was built. When a
-  /// `<prefix>.wal` from a crashed updater is present (and
-  /// options.use_wal, the default), the committed batch is replayed
-  /// before anything is read, so the searcher always opens a whole
-  /// batch boundary — exactly the pre-crash or post-crash index, never
-  /// a hybrid.
+  /// `<prefix>.wal` from a crashed updater is present, the committed
+  /// batch is replayed before anything is read, so the searcher always
+  /// opens a whole batch boundary — exactly the pre-crash or post-crash
+  /// index, never a hybrid.
   static Result<std::unique_ptr<DiskSearcher>> Open(
       const std::string& path_prefix, const DiskIndexOptions& options = {});
 

@@ -122,17 +122,4 @@ Result<PreparedQuery> PrepareQuery(const DiskIndex& index,
   return Assemble(std::move(terms));
 }
 
-std::vector<const PackedDeweyList*> ResolvePackedLists(
-    const InvertedIndex& index, const std::vector<std::string>& normalized) {
-  std::vector<const PackedDeweyList*> lists;
-  lists.reserve(normalized.size());
-  for (const std::string& kw : normalized) {
-    const PackedDeweyList* list = index.Find(kw);
-    if (list == nullptr) continue;
-    if (std::find(lists.begin(), lists.end(), list) != lists.end()) continue;
-    lists.push_back(list);
-  }
-  return lists;
-}
-
 }  // namespace xksearch

@@ -79,15 +79,6 @@ Result<PreparedQuery> PrepareQuery(const DiskIndex& index,
                                    const TokenizerOptions& tokenizer,
                                    QueryStats* stats);
 
-/// The packed posting lists `normalized` keywords resolve to (absent
-/// keywords dropped, duplicates collapsed) — the exact set a later
-/// PrepareQuery over the same index will ask a DecodedListProvider
-/// about. The serving layer's batch scheduler takes this census across
-/// a batch's members so the per-batch provider can decode only lists at
-/// least two of them share.
-std::vector<const PackedDeweyList*> ResolvePackedLists(
-    const InvertedIndex& index, const std::vector<std::string>& normalized);
-
 }  // namespace xksearch
 
 #endif  // XKSEARCH_ENGINE_QUERY_EXECUTOR_H_

@@ -595,8 +595,8 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
   }
 
   // --- Queries. ---
-  // Every sampled query is also remembered for the cross-query batch
-  // stage below, which replays them concurrently through a QueryService.
+  // Every sampled query is also remembered for the concurrent serving
+  // stage below, which replays them through a QueryService.
   std::vector<std::vector<std::string>> sampled_queries;
   for (size_t q = 0; q < options.queries_per_collection; ++q) {
     std::vector<std::string> keywords;
@@ -1092,19 +1092,17 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     }
   }
 
-  // --- Cross-query batch stage: the collection's sampled queries,
-  // submitted batch_clients times each through a QueryService whose
-  // batch window is open. Identical submissions coalesce under
-  // single-flight; distinct queries land in one batch sharing one
-  // decoded-list provider and one vectored cold-page prefetch. Batching
-  // is execution-time only, so every response must reproduce the
-  // sequential unbatched engine run exactly: same nodes, same
-  // match_ops, same results counter. One worker on purpose — the fuzz
-  // pools are deliberately tiny, and serialized execution keeps the pin
-  // demand identical to the sequential stages while the batcher,
-  // coalescing and prefetch still run fully concurrently with it.
-  if (options.batch_clients > 0 && !sampled_queries.empty()) {
-    struct BatchRef {
+  // --- Concurrent serving stage: the collection's sampled queries,
+  // submitted serve_clients times each through a QueryService.
+  // Identical submissions coalesce under single-flight, which is
+  // execution-time only, so every response must reproduce the
+  // sequential engine run exactly: same nodes, same match_ops, same
+  // results counter. One worker on purpose — the fuzz pools are
+  // deliberately tiny, and serialized execution keeps the pin demand
+  // identical to the sequential stages while submission and coalescing
+  // still run concurrently with it.
+  if (options.serve_clients > 0 && !sampled_queries.empty()) {
+    struct ServeRef {
       std::vector<DeweyId> nodes;
       uint64_t match_ops = 0;
       uint64_t results = 0;
@@ -1114,11 +1112,9 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
     serve::QueryServiceOptions qso;
     qso.pool.workers = 1;
     qso.pool.queue_capacity =
-        sampled_queries.size() * options.batch_clients + 8;
+        sampled_queries.size() * options.serve_clients + 8;
     qso.enable_cache = false;
     qso.single_flight = true;
-    qso.batch_window_us = 500;
-    qso.batch_max = sampled_queries.size() * options.batch_clients;
     serve::QueryService service(&engine, qso);
 
     // The stage submits each query in its canonical form (sorted,
@@ -1135,12 +1131,12 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
           service.MakeCacheKey(sampled_queries[i], SearchOptions()).keywords;
     }
     auto make_refs = [&](const SearchOptions& so) {
-      std::vector<BatchRef> refs(sampled_queries.size());
+      std::vector<ServeRef> refs(sampled_queries.size());
       for (size_t i = 0; i < sampled_queries.size(); ++i) {
         Result<SearchResult> r = engine.Search(canonical[i], so);
         if (!r.ok()) {
           CaseContext bctx{seed, &report, &sampled_queries[i]};
-          bctx.Diverge("batch reference run failed: " + r.status().ToString());
+          bctx.Diverge("serve reference run failed: " + r.status().ToString());
           continue;
         }
         refs[i].nodes = r->nodes;
@@ -1155,7 +1151,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         std::pair<size_t, std::future<Result<serve::QueryResponse>>>;
     auto submit_all = [&](const SearchOptions& so) {
       std::vector<PendingResponse> submitted;
-      for (size_t c = 0; c < options.batch_clients; ++c) {
+      for (size_t c = 0; c < options.serve_clients; ++c) {
         for (size_t i = 0; i < sampled_queries.size(); ++i) {
           submitted.emplace_back(i, service.Submit(canonical[i], so));
         }
@@ -1163,10 +1159,10 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
       return submitted;
     };
 
-    // Submits every query batch_clients times, interleaved, and checks
-    // each response against its unbatched reference.
-    auto run_batched = [&](const char* label, const SearchOptions& so,
-                           const std::vector<BatchRef>& refs) {
+    // Submits every query serve_clients times, interleaved, and checks
+    // each response against its sequential reference.
+    auto run_served = [&](const char* label, const SearchOptions& so,
+                           const std::vector<ServeRef>& refs) {
       std::vector<PendingResponse> submitted = submit_all(so);
       for (auto& [i, fut] : submitted) {
         Result<serve::QueryResponse> resp = fut.get();
@@ -1180,7 +1176,7 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         }
         if (resp->result.nodes != refs[i].nodes) {
           bctx.Diverge(std::string(label) + " emitted " +
-                       IdsToString(resp->result.nodes) + ", unbatched = " +
+                       IdsToString(resp->result.nodes) + ", sequential = " +
                        IdsToString(refs[i].nodes));
           continue;
         }
@@ -1198,20 +1194,19 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
 
     {
       SearchOptions so;
-      run_batched("batched/mem", so, make_refs(so));
+      run_served("serve/mem", so, make_refs(so));
     }
     if (options.with_disk) {
       SearchOptions so;
       so.use_disk_index = true;
-      const std::vector<BatchRef> disk_refs = make_refs(so);
-      run_batched("batched/disk", so, disk_refs);
+      const std::vector<ServeRef> disk_refs = make_refs(so);
+      run_served("serve/disk", so, disk_refs);
 
       if (options.with_faults) {
-        // Fault round: armed stores under a full concurrent batch —
-        // faults can now land in the batch prefetch as well as in the
-        // queries themselves. Each response is either the exact
-        // unbatched answer or the injected IoError, never a wrong
-        // answer, and nothing leaks a pin.
+        // Fault round: armed stores under the full concurrent load.
+        // Each response is either the exact sequential answer or the
+        // injected IoError, never a wrong answer (a follower receives
+        // exactly its leader's outcome), and nothing leaks a pin.
         for (FaultInjectingPageStore* w : wrappers) {
           w->ClearFaults();
           w->FailReadsWithProbability(options.fault_probability,
@@ -1227,14 +1222,14 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
           if (resp.ok()) {
             ++report.fault_survivals;
             if (!SameSet(resp->result.nodes, disk_refs[i].nodes)) {
-              bctx.Diverge("batched/faults returned wrong answer " +
-                           IdsToString(resp->result.nodes) + ", unbatched = " +
+              bctx.Diverge("serve/faults returned wrong answer " +
+                           IdsToString(resp->result.nodes) + ", sequential = " +
                            IdsToString(disk_refs[i].nodes));
             }
           } else {
             ++report.clean_fault_errors;
             if (!resp.status().IsIoError()) {
-              bctx.Diverge("batched/faults failed with non-IoError: " +
+              bctx.Diverge("serve/faults failed with non-IoError: " +
                            resp.status().ToString());
             }
           }
@@ -1250,12 +1245,12 @@ FuzzReport RunFuzzCase(uint64_t seed, const FuzzOptions& options) {
         if (il_pins != 0 || scan_pins != 0) {
           CaseContext bctx{seed, &report, &sampled_queries[0]};
           bctx.Diverge(
-              "batched/faults leaked pins: il=" + std::to_string(il_pins) +
+              "serve/faults leaked pins: il=" + std::to_string(il_pins) +
               " scan=" + std::to_string(scan_pins));
         }
-        // Recovery: the same concurrent batch, faults disarmed, must
-        // reproduce the unbatched answers again.
-        run_batched("batched/recovery", so, disk_refs);
+        // Recovery: the same concurrent load, faults disarmed, must
+        // reproduce the sequential answers again.
+        run_served("serve/recovery", so, disk_refs);
       }
     }
     service.Shutdown();

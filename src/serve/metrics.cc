@@ -64,14 +64,6 @@ std::string MetricsRegistry::ReportText(const Gauges& gauges) const {
   os << "  io_errors:       " << static_cast<uint64_t>(io_errors) << "\n";
   os << "  coalesced:       " << static_cast<uint64_t>(coalesced_queries)
      << "\n";
-  if (static_cast<uint64_t>(batches) > 0) {
-    const LatencyHistogram::Snapshot sizes = batch_size.TakeSnapshot();
-    os << "batches:           " << static_cast<uint64_t>(batches)
-       << " queries=" << static_cast<uint64_t>(batched_queries)
-       << " shared_decodes=" << static_cast<uint64_t>(shared_decodes)
-       << " size_p50=" << sizes.PercentileNanos(0.50)
-       << " size_p95=" << sizes.PercentileNanos(0.95) << "\n";
-  }
   os << std::fixed << std::setprecision(1);
   os << "latency_us:        mean=" << latency.MeanNanos() / 1e3
      << " p50=" << static_cast<double>(latency.PercentileNanos(0.50)) / 1e3

@@ -76,21 +76,11 @@ class MetricsRegistry {
   /// Requests resolved by attaching to an identical in-flight execution
   /// (single-flight coalescing) instead of executing a duplicate.
   RelaxedCounter coalesced_queries;
-  /// Batches the batch scheduler dispatched, and the queries they
-  /// carried (batched_queries / batches = mean batch size).
-  RelaxedCounter batches;
-  RelaxedCounter batched_queries;
-  /// Posting-list decodes a per-batch provider shared across members
-  /// (each is one decode several queries would otherwise repeat).
-  RelaxedCounter shared_decodes;
 
   /// End-to-end latency of completed requests (both hit and miss paths).
   LatencyHistogram request_latency;
   /// Submit-to-worker-pickup time of dispatched requests (queueing delay).
   LatencyHistogram queue_latency;
-  /// Batch sizes (samples are member counts, not nanoseconds; the
-  /// log-bucketed histogram works unchanged for small integers).
-  LatencyHistogram batch_size;
 
   /// Engine operation counters aggregated over finished queries.
   QueryStats engine_stats;

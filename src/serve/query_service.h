@@ -13,7 +13,6 @@
 #include "common/result.h"
 #include "engine/disk_searcher.h"
 #include "engine/xksearch.h"
-#include "serve/batcher.h"
 #include "serve/hot_list_cache.h"
 #include "serve/metrics.h"
 #include "serve/query_cache.h"
@@ -49,18 +48,6 @@ struct QueryServiceOptions {
   /// like shard_exec it never enters the cache key. Works with the
   /// result cache disabled; coalesced responses then simply bypass it.
   bool single_flight = true;
-  /// Batch collection window for cache-miss dispatch, microseconds.
-  /// 0 (the default) dispatches each admitted query straight to the
-  /// worker pool, exactly as before. > 0 routes admitted queries through
-  /// a batch scheduler: the first query opens a window this long, every
-  /// query admitted inside it joins the batch (up to batch_max), and the
-  /// batch shares one decoded-list provider and one vectored cold-page
-  /// prefetch. Execution-time only — batched results, match_ops and
-  /// per-query stats are identical to unbatched runs (see DESIGN.md).
-  uint64_t batch_window_us = 0;
-  /// Most queries per batch; a full batch dispatches before the window
-  /// closes.
-  size_t batch_max = 16;
   /// Deadline applied to requests submitted without an explicit timeout;
   /// zero means no deadline.
   std::chrono::milliseconds default_timeout{0};
@@ -219,31 +206,16 @@ class QueryService {
                const QueryServiceOptions& options);
 
   Result<SearchResult> RunQuery(const std::vector<std::string>& keywords,
-                                const SearchOptions& options,
-                                DecodedListProvider* provider) const;
+                                const SearchOptions& options) const;
 
   /// Worker body of a dispatched request: deadline check, engine run,
   /// atomic cache-insert + flight-retire, responses to leader and every
-  /// follower. `provider` is the batch's shared decoded-list provider
-  /// (null on the unbatched path — the hot-list cache is used directly).
-  void ExecuteJob(const std::shared_ptr<Job>& job,
-                  DecodedListProvider* provider);
+  /// follower.
+  void ExecuteJob(const std::shared_ptr<Job>& job);
 
   /// Fails every follower of job's flight (and the leader) with
   /// `status`; used when admission fails after the flight registered.
   void AbortFlight(const std::shared_ptr<Job>& job, const Status& status);
-
-  /// Batch-formation hook: size metrics plus the batch's one vectored
-  /// cold-page prefetch (merged, deduplicated, capped; errors swallowed
-  /// — a failed prefetch just means the members fault pages in
-  /// themselves).
-  void OnBatch(const std::vector<Batcher::Item>& batch);
-
-  /// Predicted cold scan-leaf pages for a disk-backed query (empty for
-  /// pure in-memory and sharded backends).
-  std::vector<PageId> PredictColdPages(
-      const std::vector<std::string>& normalized,
-      const SearchOptions& options) const;
 
   // Exactly one of engine_/searcher_/collection_ is set.
   const XKSearch* engine_;
@@ -275,12 +247,6 @@ class QueryService {
   // Destroyed (joined) before everything above it, so in-flight tasks
   // never see partially-destroyed cache/metrics.
   ThreadPool pool_;
-  /// Batch scheduler (batch_window_us > 0 only); constructed in the
-  /// ctor body once pool_ exists. Last member on purpose: destroyed
-  /// first, and its Stop() drains every admitted query into the
-  /// still-alive pool before the collector joins. Shutdown stops it
-  /// before the pool for the same reason.
-  std::unique_ptr<Batcher> batcher_;
 };
 
 }  // namespace serve

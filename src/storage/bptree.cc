@@ -227,7 +227,9 @@ Result<PageId> BPlusTree::FindLeaf(std::string_view key,
     if (node.IsLeaf()) {
       return Status::Corruption("unexpected leaf above leaf level");
     }
-    cur = node.ChildFor(key);
+    if (!node.ChildFor(key, &cur)) {
+      return Status::Corruption("malformed internal node entry");
+    }
   }
   return cur;
 }
@@ -272,7 +274,11 @@ Status BPlusTree::Cursor::Seek(std::string_view key) {
   XKS_ASSIGN_OR_RETURN(PageId leaf, tree_->FindLeaf(key, stats_));
   XKS_RETURN_NOT_OK(LoadLeaf(leaf));
   NodeView node(leaf_ref_.page());
-  size_t slot = node.LowerBound(key);
+  size_t slot;
+  if (!node.LowerBound(key, &slot)) {
+    Invalidate();
+    return Status::Corruption("malformed leaf entry");
+  }
   if (slot == slot_count_) {
     // All keys in this leaf are smaller; the match starts the next leaf.
     const PageId next = node.link_a();
@@ -292,7 +298,11 @@ Status BPlusTree::Cursor::SeekForPrev(std::string_view key) {
   XKS_ASSIGN_OR_RETURN(PageId leaf, tree_->FindLeaf(key, stats_));
   XKS_RETURN_NOT_OK(LoadLeaf(leaf));
   NodeView node(leaf_ref_.page());
-  const size_t ub = node.UpperBound(key);
+  size_t ub;
+  if (!node.UpperBound(key, &ub)) {
+    Invalidate();
+    return Status::Corruption("malformed leaf entry");
+  }
   if (ub == 0) {
     // Every key in this leaf is greater; the match ends the previous leaf.
     const PageId prev = node.link_b();
@@ -321,7 +331,9 @@ Status BPlusTree::Cursor::SeekToLast() {
   for (uint32_t level = tree_->height_; level > 1; --level) {
     XKS_ASSIGN_OR_RETURN(PageRef ref, tree_->pool_->Fetch(cur, stats_));
     NodeView node(ref.page());
-    cur = node.Child(node.count());
+    if (!node.Child(node.count(), &cur)) {
+      return Status::Corruption("malformed internal node entry");
+    }
   }
   XKS_RETURN_NOT_OK(LoadLeaf(cur));
   if (leaf_ref_.valid() && slot_count_ > 0) {

@@ -111,9 +111,14 @@ Result<PageId> BPlusTreeMut::DescendToLeaf(std::string_view key,
     if (node.IsLeaf()) {
       return Status::Corruption("unexpected leaf above leaf level");
     }
-    const size_t idx = node.UpperBound(key);
+    size_t idx;
+    if (!node.UpperBound(key, &idx)) {
+      return Status::Corruption("malformed internal node entry");
+    }
     if (path != nullptr) path->push_back(PathStep{cur, idx});
-    cur = node.Child(idx);
+    if (!node.Child(idx, &cur)) {
+      return Status::Corruption("malformed internal node entry");
+    }
   }
   return cur;
 }
@@ -355,7 +360,10 @@ Result<bool> BPlusTreeMut::FindFloor(std::string_view key,
   for (; leaf_id != kInvalidPage;) {
     XKS_ASSIGN_OR_RETURN(PageRef ref, pool_->Fetch(leaf_id));
     const nf::NodeView node(ref.page());
-    const size_t ub = node.UpperBound(key);
+    size_t ub;
+    if (!node.UpperBound(key, &ub)) {
+      return Status::Corruption("malformed leaf entry");
+    }
     if (ub > 0) {
       std::string_view k, v;
       if (!node.Entry(ub - 1, &k, &v)) {
@@ -378,7 +386,10 @@ Result<bool> BPlusTreeMut::FindCeil(std::string_view key,
   for (; leaf_id != kInvalidPage;) {
     XKS_ASSIGN_OR_RETURN(PageRef ref, pool_->Fetch(leaf_id));
     const nf::NodeView node(ref.page());
-    const size_t lb = node.LowerBound(key);
+    size_t lb;
+    if (!node.LowerBound(key, &lb)) {
+      return Status::Corruption("malformed leaf entry");
+    }
     if (lb < node.count()) {
       std::string_view k, v;
       if (!node.Entry(lb, &k, &v)) {
@@ -400,10 +411,13 @@ Result<std::string> BPlusTreeMut::Get(std::string_view key) const {
   XKS_ASSIGN_OR_RETURN(const PageId leaf_id, DescendToLeaf(key, nullptr));
   XKS_ASSIGN_OR_RETURN(PageRef ref, pool_->Fetch(leaf_id));
   const nf::NodeView node(ref.page());
-  const size_t pos = node.LowerBound(key);
+  size_t pos;
   std::string_view k, v;
-  if (pos < node.count() && node.Entry(pos, &k, &v) &&
-      CompareBytes(k, key) == 0) {
+  if (!node.LowerBound(key, &pos) ||
+      (pos < node.count() && !node.Entry(pos, &k, &v))) {
+    return Status::Corruption("malformed leaf entry");
+  }
+  if (pos < node.count() && CompareBytes(k, key) == 0) {
     return std::string(v);
   }
   return Status::NotFound("key not present");

@@ -72,34 +72,6 @@ bool HasTermPrefix(std::string_view key, uint32_t term) {
           uint32_t{p[3]}) == term;
 }
 
-// Largest slot count whose slot array still fits a page: a leaf claiming
-// more is malformed, and reading its slots would run off the page.
-constexpr size_t kMaxLeafSlots =
-    (kPageSize - node_format::kNodeHeader) / 2;
-
-// First slot of `leaf` whose key is > `key` (`after`) or >= `key`. Every
-// visited slot is read through NodeView::Entry, so a malformed one is
-// reported as Corruption rather than compared as an empty key.
-Result<size_t> LeafBound(const node_format::NodeView& leaf, size_t count,
-                         std::string_view key, bool after) {
-  size_t lo = 0;
-  size_t hi = count;
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    std::string_view slot_key, value;
-    if (!leaf.Entry(mid, &slot_key, &value)) {
-      return Status::Corruption("malformed IL leaf entry");
-    }
-    const int c = CompareBytes(slot_key, key);
-    if (after ? c <= 0 : c < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 std::vector<uint8_t> EncodeIndexMeta(const LevelTable& table,
                                      bool compress_dewey, bool delta_compress,
                                      uint64_t total_postings,
@@ -299,7 +271,7 @@ Result<std::unique_ptr<DiskIndex>> DiskIndex::Open(
   // committed-but-unapplied batch. Replay it into the freshly opened
   // stores before any tree or dictionary is read, so the index below
   // is always a whole batch boundary — exactly pre- or post-batch.
-  if (options.use_wal && FileExists(path_prefix + ".wal")) {
+  if (FileExists(path_prefix + ".wal")) {
     std::unique_ptr<Wal> wal;
     XKS_ASSIGN_OR_RETURN(wal,
                          OpenWalFile(path_prefix, options, /*create=*/false));
@@ -387,8 +359,11 @@ Result<bool> DiskIndex::MatchProbe(uint32_t term, const DeweyId& v,
   bool answered = false;
   if (!finger->empty()) {
     const node_format::NodeView leaf(finger->leaf_);
-    XKS_ASSIGN_OR_RETURN(size_t bound,
-                         LeafBound(leaf, finger->count_, key, left));
+    size_t bound;
+    if (!(left ? leaf.UpperBound(key, &bound)
+               : leaf.LowerBound(key, &bound))) {
+      return Status::Corruption("malformed IL leaf entry");
+    }
     if (bound > 0 && bound < finger->count_) {
       std::string_view value;
       if (!leaf.Entry(left ? bound - 1 : bound, &found, &value)) {
@@ -410,7 +385,7 @@ Result<bool> DiskIndex::MatchProbe(uint32_t term, const DeweyId& v,
     XKS_RETURN_NOT_OK(left ? cursor.SeekForPrev(key) : cursor.Seek(key));
     if (!cursor.Valid()) return false;
     const node_format::NodeView leaf(cursor.leaf_page());
-    if (!leaf.IsLeaf() || leaf.count() > kMaxLeafSlots) {
+    if (!leaf.IsLeaf() || leaf.count() > node_format::kMaxSlots) {
       return Status::Corruption("malformed IL leaf header");
     }
     if (cursor.leaf_id() != held) finger->leaf_ = cursor.leaf_page();
@@ -442,27 +417,6 @@ Result<DiskIndex::PostingCursor> DiskIndex::OpenPostings(
   PostingCursor pc(this, term, std::move(cursor));
   pc.stats_ = stats;
   return pc;
-}
-
-Result<std::pair<PageId, size_t>> DiskIndex::PredictScanLeaves(
-    uint32_t term, uint64_t frequency, QueryStats* stats) const {
-  std::string key;
-  AppendBigEndian32(term, &key);
-  XKS_ASSIGN_OR_RETURN(const PageId leaf, scan_tree_->LeafPageFor(key, stats));
-  // Leaves hold postings in term order, so the term's share of the total
-  // posting count bounds its share of the leaf run. The estimate is
-  // deliberately generous by one page (the term rarely starts on a leaf
-  // boundary) and capped — a huge list's tail is better left to cursor
-  // readahead than fetched speculatively in one burst.
-  constexpr size_t kMaxPredictedPages = 16;
-  const uint64_t total = std::max<uint64_t>(1, total_postings_);
-  const uint64_t leaves = scan_store_->page_count();
-  size_t span = static_cast<size_t>((leaves * frequency + total - 1) / total);
-  span = std::min(std::max<size_t>(1, span) + 1, kMaxPredictedPages);
-  const PageId limit = scan_store_->page_count();
-  if (leaf >= limit) return std::make_pair(leaf, size_t{0});
-  span = std::min(span, static_cast<size_t>(limit - leaf));
-  return std::make_pair(leaf, span);
 }
 
 Result<std::vector<DiskIndex::ScanBlockRef>> DiskIndex::ScanBlockRefs(
@@ -616,54 +570,46 @@ Result<std::unique_ptr<DiskIndexUpdater>> DiskIndexUpdater::Open(
         "the updater maintains file-backed indexes only");
   }
   std::unique_ptr<DiskIndexUpdater> updater(new DiskIndexUpdater());
-  updater->path_prefix_ = path_prefix;
   updater->options_ = options;
   XKS_ASSIGN_OR_RETURN(updater->il_store_,
                        FilePageStore::Open(path_prefix + ".il"));
   XKS_ASSIGN_OR_RETURN(updater->scan_store_,
                        FilePageStore::Open(path_prefix + ".scan"));
-  if (options.use_wal) {
-    XKS_ASSIGN_OR_RETURN(updater->dict_store_,
-                         FilePageStore::Open(path_prefix + ".dict"));
-  }
+  XKS_ASSIGN_OR_RETURN(updater->dict_store_,
+                       FilePageStore::Open(path_prefix + ".dict"));
   if (options.store_decorator) {
     updater->il_store_ =
         options.store_decorator(std::move(updater->il_store_), "il");
     updater->scan_store_ =
         options.store_decorator(std::move(updater->scan_store_), "scan");
-    if (updater->dict_store_ != nullptr) {
-      updater->dict_store_ =
-          options.store_decorator(std::move(updater->dict_store_), "dict");
-    }
+    updater->dict_store_ =
+        options.store_decorator(std::move(updater->dict_store_), "dict");
   }
-  PageStore* il_base = updater->il_store_.get();
-  PageStore* scan_base = updater->scan_store_.get();
-  if (options.use_wal) {
-    // Replay any committed batch a crashed predecessor left behind, then
-    // stack the staging overlays: from here on nothing reaches the inner
-    // files until this updater's own batch commits.
-    XKS_ASSIGN_OR_RETURN(updater->wal_,
-                         OpenWalFile(path_prefix, options, /*create=*/true));
-    PageStore* const targets[] = {il_base, scan_base,
-                                  updater->dict_store_.get()};
-    XKS_ASSIGN_OR_RETURN(
-        const WalRecoveryStats stats,
-        updater->wal_->Recover([&targets](uint8_t id) -> PageStore* {
-          return id <= kWalStoreDict ? targets[id] : nullptr;
-        }));
-    RecordRecovery(stats);
-    updater->recovered_batches_ = stats.batches_applied;
-    updater->il_staged_ = std::make_unique<StagedPageStore>(il_base);
-    updater->scan_staged_ = std::make_unique<StagedPageStore>(scan_base);
-    updater->dict_staged_ =
-        std::make_unique<StagedPageStore>(updater->dict_store_.get());
-    il_base = updater->il_staged_.get();
-    scan_base = updater->scan_staged_.get();
-  }
-  updater->il_pool_ =
-      std::make_unique<BufferPool>(il_base, options.il_pool_pages);
-  updater->scan_pool_ =
-      std::make_unique<BufferPool>(scan_base, options.scan_pool_pages);
+  // Replay any committed batch a crashed predecessor left behind, then
+  // stack the staging overlays: from here on nothing reaches the inner
+  // files until this updater's own batch commits.
+  XKS_ASSIGN_OR_RETURN(updater->wal_,
+                       OpenWalFile(path_prefix, options, /*create=*/true));
+  PageStore* const targets[] = {updater->il_store_.get(),
+                                updater->scan_store_.get(),
+                                updater->dict_store_.get()};
+  XKS_ASSIGN_OR_RETURN(
+      const WalRecoveryStats stats,
+      updater->wal_->Recover([&targets](uint8_t id) -> PageStore* {
+        return id <= kWalStoreDict ? targets[id] : nullptr;
+      }));
+  RecordRecovery(stats);
+  updater->recovered_batches_ = stats.batches_applied;
+  updater->il_staged_ =
+      std::make_unique<StagedPageStore>(updater->il_store_.get());
+  updater->scan_staged_ =
+      std::make_unique<StagedPageStore>(updater->scan_store_.get());
+  updater->dict_staged_ =
+      std::make_unique<StagedPageStore>(updater->dict_store_.get());
+  updater->il_pool_ = std::make_unique<BufferPool>(
+      updater->il_staged_.get(), options.il_pool_pages);
+  updater->scan_pool_ = std::make_unique<BufferPool>(
+      updater->scan_staged_.get(), options.scan_pool_pages);
   XKS_ASSIGN_OR_RETURN(BPlusTreeMut il_tree,
                        BPlusTreeMut::Open(updater->il_pool_.get()));
   updater->il_tree_ = std::make_unique<BPlusTreeMut>(std::move(il_tree));
@@ -679,18 +625,10 @@ Result<std::unique_ptr<DiskIndexUpdater>> DiskIndexUpdater::Open(
   updater->tokenizer_ = meta.tokenizer;
   updater->total_postings_ = meta.total_postings;
 
-  // Load the dictionary; term ids stay stable, new terms extend it. In
-  // WAL mode the dict store is already held (and recovered); the legacy
-  // path opens it transiently, as it is only rewritten at Finish.
+  // Load the dictionary (already recovered); term ids stay stable, new
+  // terms extend it.
   {
-    std::unique_ptr<PageStore> transient;
-    PageStore* dict = updater->dict_store_.get();
-    if (dict == nullptr) {
-      XKS_ASSIGN_OR_RETURN(transient,
-                           FilePageStore::Open(path_prefix + ".dict"));
-      dict = transient.get();
-    }
-    BufferPool dict_pool(dict, 64);
+    BufferPool dict_pool(updater->dict_store_.get(), 64);
     XKS_ASSIGN_OR_RETURN(BPlusTree dict_tree, BPlusTree::Open(&dict_pool));
     BPlusTree::Cursor cursor = dict_tree.NewCursor();
     XKS_RETURN_NOT_OK(cursor.SeekToFirst());
@@ -877,30 +815,22 @@ Status DiskIndexUpdater::Finish() {
   terms.reserve(dict_.size());
   for (const auto& [term, info] : dict_) terms.push_back(term);
   std::sort(terms.begin(), terms.end());
-  auto build_dict = [&](PageStore* store) -> Status {
-    BPlusTreeBuilder builder(store);
-    for (const std::string& term : terms) {
-      const DiskIndex::TermInfo& info = dict_.at(term);
-      std::vector<uint8_t> value;
-      PutVarint32(&value, info.id);
-      PutVarint64(&value, info.frequency);
-      XKS_RETURN_NOT_OK(builder.Add(
-          term, std::string_view(reinterpret_cast<const char*>(value.data()),
-                                 value.size())));
-    }
-    return builder.Finish();
-  };
-  if (options_.use_wal) {
-    // The rebuild goes through the dict overlay (emptied first — the
-    // bulk builder wants a fresh store), so like the tree flushes above
-    // it is part of the staged batch, not an in-place file rewrite.
-    XKS_RETURN_NOT_OK(dict_staged_->Truncate(0));
-    XKS_RETURN_NOT_OK(build_dict(dict_staged_.get()));
-    return CommitBatch();
+  // The rebuild goes through the dict overlay (emptied first — the bulk
+  // builder wants a fresh store), so like the tree flushes above it is
+  // part of the staged batch, not an in-place file rewrite.
+  XKS_RETURN_NOT_OK(dict_staged_->Truncate(0));
+  BPlusTreeBuilder builder(dict_staged_.get());
+  for (const std::string& term : terms) {
+    const DiskIndex::TermInfo& info = dict_.at(term);
+    std::vector<uint8_t> value;
+    PutVarint32(&value, info.id);
+    PutVarint64(&value, info.frequency);
+    XKS_RETURN_NOT_OK(builder.Add(
+        term, std::string_view(reinterpret_cast<const char*>(value.data()),
+                               value.size())));
   }
-  XKS_ASSIGN_OR_RETURN(std::unique_ptr<FilePageStore> dict_store,
-                       FilePageStore::Create(path_prefix_ + ".dict"));
-  return build_dict(dict_store.get());
+  XKS_RETURN_NOT_OK(builder.Finish());
+  return CommitBatch();
 }
 
 Status DiskIndexUpdater::CommitBatch() {

@@ -50,13 +50,6 @@ struct DiskIndexOptions {
   bool compress_dewey = true;
   /// Prefix-delta compression inside posting blocks (ablation X2).
   bool delta_compress = true;
-  /// Crash consistency for incremental updates (file mode only): the
-  /// updater stages every batch behind a write-ahead log at
-  /// `<prefix>.wal` and Open/DiskIndexUpdater::Open replay any
-  /// committed-but-unapplied batch before touching the trees, making
-  /// each batch atomic across il/scan/dict. Off restores the legacy
-  /// in-place write path (no `.wal` file, no atomicity).
-  bool use_wal = true;
   /// Test hook: wraps each page store the index creates (Build, Open and
   /// the updater) before any pool or tree touches it. `name` is "il",
   /// "scan", "dict" or "wal". Fault-injection tests interpose
@@ -244,18 +237,6 @@ class DiskIndex {
                                          DeweyId* prev, bool* prev_valid,
                                          QueryStats* stats = nullptr) const;
 
-  /// Predicts the scan-layout leaf pages `term`'s posting blocks occupy:
-  /// one tree descent to the leaf hosting the term's first block (top
-  /// levels are almost always cached) plus a frequency-proportional span
-  /// estimate — bulk-loaded leaves are physically consecutive, so a
-  /// term's blocks sit in a contiguous page run starting at that leaf.
-  /// Returns (first leaf page, estimated page count), the unit the
-  /// serving layer's batched cold prefetch feeds to FetchMany. Purely
-  /// advisory: a mispredicted page is a wasted speculative read, never a
-  /// wrong answer.
-  Result<std::pair<PageId, size_t>> PredictScanLeaves(
-      uint32_t term, uint64_t frequency, QueryStats* stats = nullptr) const;
-
   /// Evicts everything from both buffer pools (cold-cache experiments).
   Status DropCaches();
   /// Loads as much as fits into both pools (hot-cache experiments).
@@ -318,10 +299,9 @@ class DiskIndex {
 /// rejected with InvalidArgument — rebuilding with a wider table is the
 /// remedy, never a silent lossy encoding.
 ///
-/// **Crash consistency** (DiskIndexOptions::use_wal, the default): the
-/// whole batch — every AddPosting/RemovePosting between Open and
-/// Finish — is staged in memory (StagedPageStore overlays under the
-/// buffer pools), written to `<prefix>.wal` as checksummed page-image
+/// **Crash consistency**: the whole batch — every AddPosting/
+/// RemovePosting between Open and Finish — is staged in memory
+/// (StagedPageStore overlays under the buffer pools), written to `<prefix>.wal` as checksummed page-image
 /// frames, made durable by the commit frame's single fsync, and only
 /// then replayed into the il/scan/dict files. A crash at any point
 /// leaves the files either exactly pre-batch (commit frame not durable:
@@ -366,16 +346,15 @@ class DiskIndexUpdater {
   Status InsertIntoBlock(uint32_t term, const DeweyId& id);
   Status RemoveFromBlock(uint32_t term, const DeweyId& id);
   Status WriteBlock(const std::string& key, const std::vector<DeweyId>& ids);
-  /// WAL-mode Finish tail: logs every staged page as one batch, commits,
+  /// Finish tail: logs every staged page as one batch, commits,
   /// then applies the batch by replaying the log into the inner stores —
   /// the same code path crash recovery takes.
   Status CommitBatch();
 
-  std::string path_prefix_;
   DiskIndexOptions options_;
   std::unique_ptr<PageStore> il_store_;
   std::unique_ptr<PageStore> scan_store_;
-  std::unique_ptr<PageStore> dict_store_;  // held only in WAL mode
+  std::unique_ptr<PageStore> dict_store_;
   std::unique_ptr<StagedPageStore> il_staged_;
   std::unique_ptr<StagedPageStore> scan_staged_;
   std::unique_ptr<StagedPageStore> dict_staged_;

@@ -39,8 +39,8 @@ bool ReadVarintFrom(const uint8_t* src, size_t limit, size_t* off,
 
 bool NodeView::Entry(size_t i, std::string_view* key,
                      std::string_view* value) const {
-  const size_t slot_off = kNodeHeader + 2 * i;
-  size_t off = page_.ReadU16(slot_off);
+  if (i >= kMaxSlots) return false;
+  size_t off = page_.ReadU16(kNodeHeader + 2 * i);
   uint32_t klen = 0;
   if (!ReadVarintFrom(page_.data.data(), kPageSize, &off, &klen)) return false;
   if (off + klen > kPageSize) return false;
@@ -55,53 +55,32 @@ bool NodeView::Entry(size_t i, std::string_view* key,
   return true;
 }
 
-std::string_view NodeView::Key(size_t i) const {
-  std::string_view k, v;
-  const bool ok = Entry(i, &k, &v);
-  assert(ok);
-  (void)ok;
-  return k;
-}
-
-size_t NodeView::LowerBound(std::string_view key) const {
+bool NodeView::Bound(std::string_view key, bool upper, size_t* slot) const {
   size_t lo = 0, hi = count();
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
-    if (CompareBytes(Key(mid), key) < 0) {
+    std::string_view k, v;
+    if (!Entry(mid, &k, &v)) return false;
+    const int c = CompareBytes(k, key);
+    if (upper ? c <= 0 : c < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return lo;
+  *slot = lo;
+  return true;
 }
 
-size_t NodeView::UpperBound(std::string_view key) const {
-  size_t lo = 0, hi = count();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (CompareBytes(Key(mid), key) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+bool NodeView::Child(size_t idx, PageId* child) const {
+  if (idx == 0) {
+    *child = link_a();
+    return true;
   }
-  return lo;
-}
-
-PageId NodeView::ChildFor(std::string_view key) const {
-  return Child(UpperBound(key));
-}
-
-PageId NodeView::Child(size_t idx) const {
-  if (idx == 0) return link_a();
   std::string_view k, v;
-  const bool ok = Entry(idx - 1, &k, &v);
-  assert(ok && v.size() == 4);
-  (void)ok;
-  uint32_t child;
-  std::memcpy(&child, v.data(), 4);
-  return child;
+  if (!Entry(idx - 1, &k, &v) || v.size() != 4) return false;
+  std::memcpy(child, v.data(), 4);
+  return true;
 }
 
 Result<ParsedNode> ParsedNode::ReadFrom(const Page& page) {

@@ -45,6 +45,10 @@ inline constexpr size_t kNodeLinkA = 3;
 inline constexpr size_t kNodeLinkB = 7;
 inline constexpr size_t kNodeHeader = 11;
 inline constexpr size_t kNodeCapacity = kPageSize - kNodeHeader;
+/// Largest slot count whose slot array still fits a page: a node
+/// claiming more is malformed, and reading its slots would run off the
+/// page.
+inline constexpr size_t kMaxSlots = kNodeCapacity / 2;
 
 size_t VarintSize(size_t v);
 void PutVarintTo(uint8_t* dst, size_t* off, uint32_t v);
@@ -67,18 +71,30 @@ class NodeView {
   PageId link_a() const { return page_.ReadU32(kNodeLinkA); }
   PageId link_b() const { return page_.ReadU32(kNodeLinkB); }
 
+  /// Reads slot `i`; false when the slot or its entry is malformed
+  /// (runs off the page).
   bool Entry(size_t i, std::string_view* key, std::string_view* value) const;
-  std::string_view Key(size_t i) const;
 
-  /// First slot with key >= / > `key`.
-  size_t LowerBound(std::string_view key) const;
-  size_t UpperBound(std::string_view key) const;
+  /// First slot with key >= / > `key`, in `*slot`. False when a slot the
+  /// binary search visits is malformed; callers report Corruption.
+  bool LowerBound(std::string_view key, size_t* slot) const {
+    return Bound(key, /*upper=*/false, slot);
+  }
+  bool UpperBound(std::string_view key, size_t* slot) const {
+    return Bound(key, /*upper=*/true, slot);
+  }
 
-  /// Internal nodes: child page routing.
-  PageId ChildFor(std::string_view key) const;
-  PageId Child(size_t idx) const;
+  /// Internal nodes: child page routing. False on a malformed slot or a
+  /// child value that is not a 4-byte page id.
+  bool ChildFor(std::string_view key, PageId* child) const {
+    size_t idx;
+    return UpperBound(key, &idx) && Child(idx, child);
+  }
+  bool Child(size_t idx, PageId* child) const;
 
  private:
+  bool Bound(std::string_view key, bool upper, size_t* slot) const;
+
   const Page& page_;
 };
 

@@ -6,6 +6,8 @@
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "storage/bptree_mut.h"
+#include "storage/node_format.h"
 #include "test_util.h"
 
 namespace xksearch {
@@ -317,6 +319,106 @@ TEST(BPlusTreeTest, TinyBufferPoolStillWorks) {
     EXPECT_EQ(*v, Value(i));
   }
   EXPECT_GT(pool.total_misses(), 10u);
+}
+
+// Points slot `slot` of node page `id` off the page, as a torn or
+// bit-flipped write might.
+void BreakSlot(MemPageStore* store, PageId id, size_t slot) {
+  Page page;
+  XKS_ASSERT_OK(store->ReadPage(id, &page));
+  page.WriteU16(node_format::kNodeHeader + 2 * slot, 0xffff);
+  XKS_ASSERT_OK(store->WritePage(id, page));
+}
+
+// Checks that every read routed through the broken node reports
+// Corruption, through both the read-only and the mutable tree, and
+// leaks no pin.
+void ExpectCorruptionAt(MemPageStore* store, const std::string& key) {
+  BufferPool pool(store, 16);
+  Result<BPlusTree> tree = BPlusTree::Open(&pool);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_TRUE(tree->Get(key).status().IsCorruption());
+  BPlusTree::Cursor cursor = tree->NewCursor();
+  EXPECT_TRUE(cursor.Seek(key).IsCorruption());
+  EXPECT_FALSE(cursor.Valid());
+  EXPECT_TRUE(cursor.SeekForPrev(key).IsCorruption());
+  EXPECT_FALSE(cursor.Valid());
+  EXPECT_EQ(pool.DebugTotalPins(), 0u);
+
+  BufferPool mut_pool(store, 16);
+  Result<BPlusTreeMut> mut = BPlusTreeMut::Open(&mut_pool);
+  ASSERT_TRUE(mut.ok()) << mut.status().ToString();
+  EXPECT_TRUE(mut->Get(key).status().IsCorruption());
+  std::string found_key, found_value;
+  EXPECT_TRUE(mut->FindFloor(key, &found_key, &found_value)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(mut->FindCeil(key, &found_key, &found_value)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(mut->Put(key, "v").IsCorruption());
+  EXPECT_EQ(mut_pool.DebugTotalPins(), 0u);
+}
+
+// A binary search over a node starts at its middle slot, so breaking
+// that slot puts it on the search path of every key the node routes.
+// The descent must report it rather than compare it as an empty key, in
+// release and debug builds alike.
+TEST(BPlusTreeCorruptionTest, MalformedInternalSlotOnDescentIsCorruption) {
+  MemPageStore store;
+  BuildTree(&store, 2000);
+  Page meta;
+  XKS_ASSERT_OK(store.ReadPage(0, &meta));
+  ASSERT_GE(meta.ReadU32(node_format::kMetaHeight), 2u);
+  const PageId root = meta.ReadU32(node_format::kMetaRoot);
+  Page root_page;
+  XKS_ASSERT_OK(store.ReadPage(root, &root_page));
+  const size_t count = node_format::NodeView(root_page).count();
+  ASSERT_GE(count, 2u);
+  BreakSlot(&store, root, count / 2);
+  BreakSlot(&store, root, count - 1);
+
+  for (int i : {0, 1000, 1999}) {
+    SCOPED_TRACE(i);
+    ExpectCorruptionAt(&store, Key(i));
+  }
+  // SeekToLast routes through the last child, whose slot is broken too.
+  BufferPool pool(&store, 16);
+  Result<BPlusTree> tree = BPlusTree::Open(&pool);
+  ASSERT_TRUE(tree.ok());
+  BPlusTree::Cursor cursor = tree->NewCursor();
+  EXPECT_TRUE(cursor.SeekToLast().IsCorruption());
+  EXPECT_EQ(pool.DebugTotalPins(), 0u);
+}
+
+TEST(BPlusTreeCorruptionTest, MalformedLeafSlotOnSearchPathIsCorruption) {
+  MemPageStore store;
+  BuildTree(&store, 2000);
+  PageId leaf = kInvalidPage;
+  size_t count = 0;
+  {
+    BufferPool pool(&store, 16);
+    Result<BPlusTree> tree = BPlusTree::Open(&pool);
+    ASSERT_TRUE(tree.ok());
+    BPlusTree::Cursor cursor = tree->NewCursor();
+    XKS_ASSERT_OK(cursor.Seek(Key(1000)));
+    ASSERT_TRUE(cursor.Valid());
+    leaf = cursor.leaf_id();
+    count = node_format::NodeView(cursor.leaf_page()).count();
+  }
+  ASSERT_GE(count, 2u);
+  BreakSlot(&store, leaf, count / 2);
+
+  ExpectCorruptionAt(&store, Key(1000));
+  // Keys routed to other leaves never touch the broken slot.
+  BufferPool pool(&store, 16);
+  Result<BPlusTree> tree = BPlusTree::Open(&pool);
+  ASSERT_TRUE(tree.ok());
+  for (int i : {0, 1999}) {
+    Result<std::string> v = tree->Get(Key(i));
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_EQ(*v, Value(i));
+  }
 }
 
 }  // namespace

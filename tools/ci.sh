@@ -45,15 +45,13 @@ if [ "$run_slow" -eq 1 ]; then
   # stitcher, chunk planning and the engine wiring as one visible line.
   echo "==> [parallel-slca] chunked intra-query stage (release build)"
   ctest --test-dir build/release -R 'ParallelSlca' --output-on-failure
-  # Cross-query batching: single-flight coalescing, the batch scheduler,
-  # shared decoded-list providers and the vectored multi-page read path
-  # as one visible line, plus a short xk_fuzz batch-parity smoke (the
-  # full soak rides in -L slow as xk_fuzz_long_batched).
-  echo "==> [batched] cross-query batching stage (release build)"
-  ctest --test-dir build/release \
-    -R '(Batcher|SingleFlight|BatchListProvider|BatchedService|FetchMany|ReadPages)' \
+  # Single-flight coalescing and the vectored ReadPages store path as one
+  # visible line, plus a short xk_fuzz concurrent-serving parity smoke
+  # (the full soak rides in -L slow as xk_fuzz_long_serve).
+  echo "==> [single-flight] coalesced serving stage (release build)"
+  ctest --test-dir build/release -R '(SingleFlight|ReadPages)' \
     --output-on-failure
-  ./build/release/tools/xk_fuzz --cases=30 --seed=910 --batch=4 \
+  ./build/release/tools/xk_fuzz --cases=30 --seed=910 --clients=4 \
     --no-shards --no-chunks
   # Crash consistency: the WAL frame/recovery suites plus the exhaustive
   # crash-point sweep (fast scale; the scale-3 run rides in -L slow).
@@ -71,5 +69,9 @@ if [ "$run_slow" -eq 1 ]; then
   ctest --test-dir build/release -L slow --output-on-failure
   echo "==> [bench-smoke] benchmark smoke stage (ctest -L bench-smoke)"
   ctest --test-dir build/release -L bench-smoke --output-on-failure
+  # The serving benchmark builds its own Release tree against the
+  # library sources; a public-API change that breaks it fails here.
+  echo "==> [perfbench] serving benchmark smoke stage"
+  python3 perfbench/test_smoke.py
 fi
 echo "ci: all presets passed (${presets[*]})"

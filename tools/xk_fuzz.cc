@@ -36,19 +36,18 @@ void Usage() {
                "               [--faults | --no-faults] [--no-disk]\n"
                "               [--shards=N | --no-shards]\n"
                "               [--threads=N | --no-chunks]\n"
-               "               [--crashes=N] [--batch=N] [--no-simd]\n"
+               "               [--crashes=N] [--clients=N] [--no-simd]\n"
                "  --shards=N   check only shard count N (default: 1,2,4,7)\n"
                "  --no-shards  skip the sharded-collection checks\n"
                "  --threads=N  chunk-pool workers for the intra-query\n"
                "               parallel-SLCA parity checks (default: 3);\n"
                "               chunk counts checked stay 1,2,3,8\n"
                "  --no-chunks  skip the chunked parallel-SLCA checks\n"
-               "  --batch=N    concurrent clients of the cross-query batch\n"
-               "               stage: every sampled query is submitted N\n"
-               "               times through a QueryService with an open\n"
-               "               batch window and checked against the\n"
-               "               sequential unbatched run (default: 3);\n"
-               "               --batch=0 disables the stage\n"
+               "  --clients=N  concurrent clients of the serving stage: every\n"
+               "               sampled query is submitted N times through a\n"
+               "               single-flight QueryService and checked\n"
+               "               against the sequential run (default: 3);\n"
+               "               --clients=0 disables the stage\n"
                "  --crashes=N  crash-recovery rounds per collection: a\n"
                "               file-backed copy of the index takes a seeded\n"
                "               update batch killed at a seeded durable\n"
@@ -94,9 +93,9 @@ int main(int argc, char** argv) {
       if (options.chunk_workers == 0) options.chunk_counts.clear();
     } else if (std::strcmp(arg, "--no-chunks") == 0) {
       options.chunk_counts.clear();
-    } else if (std::strncmp(arg, "--batch=", 8) == 0) {
-      options.batch_clients =
-          static_cast<size_t>(ParseFlag(arg, "--batch", 3));
+    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
+      options.serve_clients =
+          static_cast<size_t>(ParseFlag(arg, "--clients", 3));
     } else if (std::strncmp(arg, "--crashes=", 10) == 0) {
       options.crash_rounds =
           static_cast<size_t>(ParseFlag(arg, "--crashes", 0));
@@ -119,7 +118,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "xk_fuzz: %llu collections from seed %llu (disk=%s faults=%s "
-      "shards=%s chunk-threads=%s batch=%zu crashes=%zu decode=%s)\n",
+      "shards=%s chunk-threads=%s clients=%zu crashes=%zu decode=%s)\n",
       static_cast<unsigned long long>(cases),
       static_cast<unsigned long long>(seed),
       options.with_disk ? "on" : "off", options.with_faults ? "on" : "off",
@@ -127,7 +126,7 @@ int main(int argc, char** argv) {
       options.chunk_counts.empty() ? "off"
                                    : std::to_string(options.chunk_workers)
                                          .c_str(),
-      options.batch_clients, options.crash_rounds,
+      options.serve_clients, options.crash_rounds,
       xksearch::DecodeKernelName(xksearch::ActiveDecodeKernel()));
 
   xksearch::fuzz::FuzzReport total;
